@@ -1,6 +1,7 @@
 #include "io/file_util.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -36,12 +37,21 @@ void write_all_fd(int fd, const char* data, std::size_t n,
 std::string read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) sys_fail("cannot open " + path);
-  std::string out;
-  char buf[1 << 16];
+  // Size the buffer from fstat, one byte over, so a regular file lands in
+  // one read and the EOF read needs no growth. Anything beyond (a file that
+  // grew, a pipe) doubles the buffer as it comes.
+  struct stat st {};
+  const std::size_t hint =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size) + 1
+          : std::size_t{1} << 16;
+  std::string out(hint, '\0');
+  std::size_t got = 0;
   while (true) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
+    if (got == out.size()) out.resize(2 * out.size());
+    const ssize_t r = ::read(fd, out.data() + got, out.size() - got);
     if (r > 0) {
-      out.append(buf, static_cast<std::size_t>(r));
+      got += static_cast<std::size_t>(r);
       continue;
     }
     if (r == 0) break;
@@ -52,6 +62,7 @@ std::string read_file(const std::string& path) {
     sys_fail("read failed for " + path);
   }
   ::close(fd);
+  out.resize(got);
   return out;
 }
 

@@ -23,8 +23,8 @@ namespace cpg::io {
 void write_all_fd(int fd, const char* data, std::size_t n,
                   const std::string& what);
 
-// Reads until EOF, resuming across EINTR. Throws std::system_error on
-// failure.
+// Reads until EOF, resuming across EINTR; a regular file lands in one read
+// into a buffer sized by fstat. Throws std::system_error on failure.
 std::string read_file(const std::string& path);
 
 // Atomically replaces `path` with `data`: write `path`.tmp via write_all_fd,

@@ -1,10 +1,16 @@
 #include "io/model_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+
+#include "io/file_util.h"
 
 namespace cpg::io {
 
@@ -41,20 +47,57 @@ constexpr std::size_t k_max_clusters_per_hour = std::size_t{1} << 16;
 constexpr std::size_t k_max_edges_per_state = std::size_t{1} << 12;
 constexpr std::size_t k_max_quantile_knots = std::size_t{1} << 20;
 
-// Threaded through the load path so every parse failure names the model
-// section being read and the byte offset where the stream gave out — a
-// corrupt file then fails with an actionable diagnostic instead of a
+// Single-pass parser over the whole model text held in one buffer. Tokens
+// are whitespace-delimited views into it, and every number is parsed with
+// std::from_chars and must use up its whole token ("0.5x" fails at that
+// token, not at the next one). `at` is the start of the last token taken,
+// so every failure names the model section being read and the exact byte
+// where the offending token begins (the end of the text when it ran out)
+// — a corrupt file then fails with an actionable diagnostic instead of a
 // generic "bad header".
 struct LoadContext {
-  std::istream& is;
+  std::string_view text;
+  std::size_t pos = 0;
+  std::size_t at = 0;
   std::string section = "header";
 
-  [[noreturn]] void fail(const std::string& what) {
-    is.clear();  // a failed extraction poisons tellg()
-    std::ostringstream msg;
-    msg << "load_model: " << what << " (section '" << section
-        << "', near byte " << static_cast<long long>(is.tellg()) << ")";
-    throw std::runtime_error(msg.str());
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  void skip_space() {
+    while (pos < text.size() && is_space(text[pos])) ++pos;
+    at = pos;
+  }
+
+  // Empty once the text is exhausted, which matches no tag.
+  std::string_view token() {
+    skip_space();
+    while (pos < text.size() && !is_space(text[pos])) ++pos;
+    return text.substr(at, pos - at);
+  }
+
+  // Parses the next token in place: the number must end where the token
+  // does, so the token is scanned once.
+  template <typename T>
+  bool number(T& out) {
+    skip_space();
+    const char* first = text.data() + pos;
+    const char* last = text.data() + text.size();
+    // A model file may spell a number with a leading '+', which
+    // std::from_chars rejects.
+    if (last - first > 1 && first[0] == '+' && first[1] != '+' &&
+        first[1] != '-') {
+      ++first;
+    }
+    const auto [ptr, ec] = std::from_chars(first, last, out);
+    pos = static_cast<std::size_t>(ptr - text.data());
+    return ec == std::errc() && (ptr == last || is_space(*ptr));
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("load_model: " + what + " (section '" + section +
+                             "', near byte " + std::to_string(at) + ")");
   }
 
   void require_finite(double v, const char* what) {
@@ -115,28 +158,30 @@ void write_distribution(const stats::Distribution& dist, std::ostream& os,
 
 std::shared_ptr<const stats::Distribution> read_distribution(
     LoadContext& ctx) {
-  std::istream& is = ctx.is;
-  std::string kind;
-  if (!(is >> kind)) ctx.fail("missing distribution");
+  const std::string_view kind = ctx.token();
+  if (kind.empty()) ctx.fail("missing distribution");
   if (kind == "exp") {
     double lambda = 0.0;
-    if (!(is >> lambda)) ctx.fail("truncated exp lambda");
+    if (!ctx.number(lambda)) ctx.fail("truncated exp lambda");
     ctx.require_finite(lambda, "exp lambda");
     if (!(lambda > 0.0)) ctx.fail("exp lambda must be > 0");
     return std::make_shared<stats::Exponential>(lambda);
   }
   if (kind == "empq") {
     std::size_t n = 0;
-    if (!(is >> n) || n == 0) ctx.fail("bad empq size");
+    if (!ctx.number(n) || n == 0) ctx.fail("bad empq size");
     if (n > k_max_quantile_knots) ctx.fail("empq size exceeds sanity cap");
     std::vector<double> values(n);
     for (double& v : values) {
-      if (!(is >> v)) ctx.fail("truncated empq values");
+      if (!ctx.number(v)) ctx.fail("truncated empq values");
       ctx.require_finite(v, "empq value");
     }
-    return std::make_shared<stats::Empirical>(std::move(values), false);
+    // save_model writes quantiles in order; only a damaged grid needs the
+    // sort.
+    const bool sorted = std::is_sorted(values.begin(), values.end());
+    return std::make_shared<stats::Empirical>(std::move(values), sorted);
   }
-  ctx.fail("unknown distribution kind '" + kind + "'");
+  ctx.fail("unknown distribution kind '" + std::string(kind) + "'");
 }
 
 // --- law serialization ----------------------------------------------------
@@ -152,18 +197,17 @@ void write_state_law(const StateLaw& law, std::ostream& os,
 }
 
 StateLaw read_state_law(LoadContext& ctx) {
-  std::istream& is = ctx.is;
   StateLaw law;
   std::size_t n = 0;
-  if (!(is >> n)) ctx.fail("truncated state-law size");
+  if (!ctx.number(n)) ctx.fail("truncated state-law size");
   if (n > k_max_edges_per_state) ctx.fail("state-law size exceeds sanity cap");
   law.out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::string tag;
-    if (!(is >> tag) || tag != "edge") ctx.fail("expected 'edge' record");
+    if (ctx.token() != "edge") ctx.fail("expected 'edge' record");
     TransitionLaw t;
-    if (!(is >> t.edge >> t.probability)) ctx.fail("truncated edge header");
+    if (!ctx.number(t.edge)) ctx.fail("truncated edge header");
     if (t.edge < 0) ctx.fail("negative edge index");
+    if (!ctx.number(t.probability)) ctx.fail("truncated edge header");
     ctx.require_probability(t.probability, "edge probability");
     t.sojourn = read_distribution(ctx);
     law.out.push_back(std::move(t));
@@ -196,27 +240,26 @@ void write_hour_model(const HourClusterModel& m, std::ostream& os,
 }
 
 HourClusterModel read_hour_model(LoadContext& ctx) {
-  std::istream& is = ctx.is;
   HourClusterModel m;
   for (StateLaw& law : m.top) law = read_state_law(ctx);
   for (StateLaw& law : m.sub) law = read_state_law(ctx);
   for (auto& overlay : m.overlay) {
-    std::string tag;
-    if (!(is >> tag)) ctx.fail("missing overlay record");
+    const std::string_view tag = ctx.token();
+    if (tag.empty()) ctx.fail("missing overlay record");
     if (tag == "overlay") {
       overlay = read_distribution(ctx);
     } else if (tag != "none") {
-      ctx.fail("bad overlay tag '" + tag + "'");
+      ctx.fail("bad overlay tag '" + std::string(tag) + "'");
     }
   }
-  std::string tag;
-  if (!(is >> tag)) ctx.fail("missing first-event record");
+  const std::string_view tag = ctx.token();
+  if (tag.empty()) ctx.fail("missing first-event record");
   if (tag == "first") {
     FirstEventLaw fe;
-    if (!(is >> fe.p_active)) ctx.fail("truncated p_active");
+    if (!ctx.number(fe.p_active)) ctx.fail("truncated p_active");
     ctx.require_probability(fe.p_active, "p_active");
     for (double& p : fe.type_prob) {
-      if (!(is >> p)) ctx.fail("truncated first-event type probabilities");
+      if (!ctx.number(p)) ctx.fail("truncated first-event type probabilities");
       ctx.require_probability(p, "first-event type probability");
     }
     auto dist = read_distribution(ctx);
@@ -226,7 +269,7 @@ HourClusterModel read_hour_model(LoadContext& ctx) {
         std::move(dist), emp);
     m.first_event = std::move(fe);
   } else if (tag != "first_none") {
-    ctx.fail("bad first-event tag '" + tag + "'");
+    ctx.fail("bad first-event tag '" + std::string(tag) + "'");
   }
   return m;
 }
@@ -269,20 +312,20 @@ void save_model(const ModelSet& set, const std::string& path,
   save_model(set, os, options);
 }
 
-ModelSet load_model(std::istream& is) {
-  LoadContext ctx{is};
-  std::string magic;
+namespace {
+
+ModelSet parse_model(std::string_view text) {
+  LoadContext ctx{text};
   int version = 0;
-  if (!(is >> magic >> version) || magic != k_magic) {
+  if (ctx.token() != k_magic || !ctx.number(version)) {
     ctx.fail("bad magic (not a cptraffgen model file?)");
   }
   if (version != k_version) {
     ctx.fail("unsupported version " + std::to_string(version));
   }
   ModelSet set;
-  std::string tag;
   int method_int = 0;
-  if (!(is >> tag >> method_int) || tag != "method") {
+  if (ctx.token() != "method" || !ctx.number(method_int)) {
     ctx.fail("truncated method record");
   }
   if (method_int < static_cast<int>(model::Method::base) ||
@@ -290,10 +333,11 @@ ModelSet load_model(std::istream& is) {
     ctx.fail("method id out of range: " + std::to_string(method_int));
   }
   set.method = static_cast<model::Method>(method_int);
-  std::string spec;
-  if (!(is >> tag >> spec) || tag != "spec") ctx.fail("truncated spec record");
+  if (ctx.token() != "spec") ctx.fail("truncated spec record");
+  const std::string_view spec = ctx.token();
+  if (spec.empty()) ctx.fail("truncated spec record");
   set.spec = spec_by_name(spec);
-  if (!(is >> tag >> set.num_days_fitted) || tag != "num_days") {
+  if (ctx.token() != "num_days" || !ctx.number(set.num_days_fitted)) {
     ctx.fail("truncated num_days record");
   }
   if (set.num_days_fitted < 0) ctx.fail("negative num_days");
@@ -301,10 +345,9 @@ ModelSet load_model(std::istream& is) {
   for (DeviceType d : k_all_device_types) {
     model::DeviceModel& dev = set.devices[index_of(d)];
     ctx.section = std::string("device ") + std::string(to_string(d));
-    std::string device_name;
     std::size_t num_ues = 0;
-    if (!(is >> tag >> device_name >> num_ues) || tag != "device" ||
-        device_name != to_string(d)) {
+    if (ctx.token() != "device" || ctx.token() != to_string(d) ||
+        !ctx.number(num_ues)) {
       ctx.fail("bad device header");
     }
     if (num_ues > k_max_ues_per_device) {
@@ -312,9 +355,9 @@ ModelSet load_model(std::istream& is) {
     }
     dev.ue_traj.resize(num_ues);
     for (auto& traj : dev.ue_traj) {
-      if (!(is >> tag) || tag != "traj") ctx.fail("bad trajectory record");
+      if (ctx.token() != "traj") ctx.fail("bad trajectory record");
       for (auto& c : traj) {
-        if (!(is >> c)) ctx.fail("truncated trajectory cluster ids");
+        if (!ctx.number(c)) ctx.fail("truncated trajectory cluster ids");
       }
     }
     for (int h = 0; h < 24; ++h) {
@@ -322,7 +365,8 @@ ModelSet load_model(std::istream& is) {
                     ", hour " + std::to_string(h);
       int hour = -1;
       std::size_t clusters = 0;
-      if (!(is >> tag >> hour >> clusters) || tag != "hour" || hour != h) {
+      if (ctx.token() != "hour" || !ctx.number(hour) || hour != h ||
+          !ctx.number(clusters)) {
         ctx.fail("bad hour header");
       }
       if (clusters > k_max_clusters_per_hour) {
@@ -332,14 +376,12 @@ ModelSet load_model(std::istream& is) {
       for (std::size_t c = 0; c < clusters; ++c) {
         dev.by_hour[h].push_back(read_hour_model(ctx));
       }
-      if (!(is >> tag) || tag != "pooled_hour") {
-        ctx.fail("missing pooled_hour");
-      }
+      if (ctx.token() != "pooled_hour") ctx.fail("missing pooled_hour");
       dev.pooled_hour[h] = read_hour_model(ctx);
     }
     ctx.section = std::string("device ") + std::string(to_string(d)) +
                   ", pooled_all";
-    if (!(is >> tag) || tag != "pooled_all") ctx.fail("missing pooled_all");
+    if (ctx.token() != "pooled_all") ctx.fail("missing pooled_all");
     dev.pooled_all = read_hour_model(ctx);
 
     // Trajectories index the clusters just read: reject dangling cluster
@@ -356,14 +398,27 @@ ModelSet load_model(std::istream& is) {
     }
   }
   ctx.section = "trailer";
-  if (!(is >> tag) || tag != "end") ctx.fail("missing 'end' trailer");
+  if (ctx.token() != "end") ctx.fail("missing 'end' trailer");
   return set;
 }
 
+}  // namespace
+
+ModelSet load_model(std::istream& is) {
+  std::ostringstream text;
+  text << is.rdbuf();
+  return parse_model(text.view());
+}
+
 ModelSet load_model(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("load_model: cannot open " + path);
-  return load_model(is);
+  std::string text;
+  try {
+    text = read_file(path);
+  } catch (const std::system_error& e) {
+    throw std::runtime_error("load_model: cannot read " + path + ": " +
+                             e.code().message());
+  }
+  return parse_model(text);
 }
 
 }  // namespace cpg::io

@@ -14,9 +14,11 @@
 //   3. pushes per-shard slice batches through bounded queues
 //      (backpressure: a slow sink blocks the producers, nothing is
 //      dropped), and
-//   4. k-way merges the shard batches of each slice through a min-heap on
-//      the consumer thread, pacing delivery (as-fast-as-possible /
-//      real-time / N×-accelerated) into a pluggable EventSink.
+//   4. k-way merges the shard batches of each slice on the consumer thread
+//      with gallop_merge (stream/merge.h: whole same-shard sub-spans at a
+//      time, switching to a loser tree at k >= 16 shards), pacing delivery
+//      (as-fast-as-possible / real-time / N×-accelerated) into a pluggable
+//      EventSink.
 //
 // Determinism contract: for a fixed seed the delivered event sequence is
 // byte-identical to the finalized output of gen::generate_trace, for any

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "generator/traffic_generator.h"
@@ -124,13 +127,38 @@ TEST(ModelIo, FiveGModelsRoundTrip) {
   }
 }
 
+// What load_model threw for a path or a stream, or "" when it loaded.
+template <typename Source>
+std::string load_error(Source&& source) {
+  try {
+    load_model(source);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ModelIo, RejectsGarbage) {
   std::istringstream bad("not-a-model 1\n");
   EXPECT_THROW(load_model(bad), std::runtime_error);
   std::istringstream truncated("cptraffgen-model 1\nmethod 3\n");
   EXPECT_THROW(load_model(truncated), std::runtime_error);
-  EXPECT_THROW(load_model(std::string("/nonexistent/path/model")),
-               std::runtime_error);
+  const std::string missing = load_error(std::string("/nonexistent/model"));
+  EXPECT_NE(missing.find("load_model: cannot read /nonexistent/model: "),
+            std::string::npos)
+      << missing;
+  // A directory opens but cannot be read.
+  const std::string dir = ::testing::TempDir();
+  const std::string is_dir = load_error(dir);
+  EXPECT_NE(is_dir.find("load_model: cannot read " + dir + ": "),
+            std::string::npos)
+      << is_dir;
+  // An empty file reads fine and is then not a model.
+  const std::string empty = ::testing::TempDir() + "/cpg_empty.model";
+  std::ofstream{empty};
+  const std::string no_magic = load_error(empty);
+  EXPECT_NE(no_magic.find("bad magic"), std::string::npos) << no_magic;
+  EXPECT_NE(no_magic.find("near byte 0"), std::string::npos) << no_magic;
 }
 
 TEST(ModelIo, FileRoundTrip) {
@@ -153,6 +181,131 @@ const std::string& serialized() {
     return buffer.str();
   }();
   return bytes;
+}
+
+// Hour models in the order save_model writes them.
+std::vector<const model::HourClusterModel*> hour_models(
+    const model::ModelSet& set) {
+  std::vector<const model::HourClusterModel*> out;
+  for (DeviceType d : k_all_device_types) {
+    const model::DeviceModel& dev = set.device(d);
+    for (int h = 0; h < 24; ++h) {
+      for (const auto& m : dev.by_hour[h]) out.push_back(&m);
+      out.push_back(&dev.pooled_hour[h]);
+    }
+    out.push_back(&dev.pooled_all);
+  }
+  return out;
+}
+
+// The law of the first "edge" record and of the first "first" record.
+const model::TransitionLaw* first_edge(const model::ModelSet& set) {
+  for (const auto* m : hour_models(set)) {
+    for (const model::StateLaw& law : m->top) {
+      if (!law.out.empty()) return &law.out.front();
+    }
+    for (const model::StateLaw& law : m->sub) {
+      if (!law.out.empty()) return &law.out.front();
+    }
+  }
+  return nullptr;
+}
+
+const model::FirstEventLaw* first_first_event(const model::ModelSet& set) {
+  for (const auto* m : hour_models(set)) {
+    if (m->first_event.has_data()) return &m->first_event;
+  }
+  return nullptr;
+}
+
+// serialized() with the first edge record rewritten to
+// "edge <i> <prob> exp <lambda>" and the first first-event record's p_active
+// spelled `p_active`; *_at are the byte offsets of the rewritten numbers.
+struct Respelled {
+  std::string text;
+  std::size_t prob_at = 0;
+  std::size_t lambda_at = 0;
+  std::size_t p_active_at = 0;
+};
+
+Respelled respell(const std::string& prob, const std::string& lambda,
+                  const std::string& p_active) {
+  Respelled r{serialized()};
+  std::string& t = r.text;
+  // p_active follows the first edge: rewrite it first, so the edge keeps
+  // its offset, then find it again once the edge has been rewritten.
+  const std::size_t edge_at = t.find("\nedge ") + 1;
+  std::size_t p_active_at = t.find("\nfirst ") + 7;
+  EXPECT_LT(edge_at, p_active_at);
+  t.replace(p_active_at, t.find(' ', p_active_at) - p_active_at, p_active);
+  r.prob_at = t.find(' ', edge_at + 5) + 1;
+  t.replace(r.prob_at, t.find('\n', r.prob_at) - r.prob_at,
+            prob + " exp " + lambda);
+  r.lambda_at = r.prob_at + prob.size() + 5;
+  r.p_active_at = t.find("\nfirst ") + 7;
+  return r;
+}
+
+bool bit_equal(double loaded, const std::string& spelling) {
+  const double expected = std::strtod(spelling.c_str(), nullptr);
+  return std::memcmp(&loaded, &expected, sizeof(double)) == 0;
+}
+
+TEST(ModelIo, NumericTokensParseExactly) {
+  const std::string& good = serialized();
+  const std::size_t p_active_at = good.find("\nfirst ") + 7;
+  const std::string p_active =
+      good.substr(p_active_at, good.find(' ', p_active_at) - p_active_at);
+  for (const std::string spelling :
+       {"5e-1", "+0.5", "0.30000000000000004", "4.9406564584124654e-324",
+        "1.7976931348623157e+308"}) {
+    // Probabilities must stay in [0, 1]; a lambda takes any positive value.
+    const bool is_prob = std::strtod(spelling.c_str(), nullptr) <= 1.0;
+    const std::string prob = is_prob ? spelling : "0.25";
+    const Respelled r =
+        respell(prob, spelling, is_prob ? spelling : p_active);
+    std::istringstream is(r.text);
+    const model::ModelSet loaded = load_model(is);
+    const model::TransitionLaw* edge = first_edge(loaded);
+    const model::FirstEventLaw* first = first_first_event(loaded);
+    ASSERT_NE(edge, nullptr);
+    ASSERT_NE(first, nullptr);
+    const auto* exp =
+        dynamic_cast<const stats::Exponential*>(edge->sojourn.get());
+    ASSERT_NE(exp, nullptr) << spelling;
+    EXPECT_TRUE(bit_equal(edge->probability, prob)) << spelling;
+    EXPECT_TRUE(bit_equal(exp->lambda(), spelling)) << spelling;
+    if (is_prob) {
+      EXPECT_TRUE(bit_equal(first->p_active, spelling)) << spelling;
+    }
+  }
+  // Each bad spelling fails at its own token, in every numeric field.
+  for (const std::string bad : {"inf", "nan", "1e309", "0.5x"}) {
+    const Respelled as_prob = respell(bad, "2", p_active);
+    const Respelled as_lambda = respell("0.25", bad, p_active);
+    const Respelled as_p_active = respell("0.25", "2", bad);
+    for (const auto& [r, at] :
+         {std::pair{&as_prob, as_prob.prob_at},
+          std::pair{&as_lambda, as_lambda.lambda_at},
+          std::pair{&as_p_active, as_p_active.p_active_at}}) {
+      const std::string msg = load_error(std::istringstream(r->text));
+      EXPECT_EQ(msg.rfind("load_model: ", 0), 0u) << bad << ": " << msg;
+      EXPECT_NE(msg.find("near byte " + std::to_string(at) + ")"),
+                std::string::npos)
+          << bad << ": " << msg;
+    }
+  }
+}
+
+TEST(ModelIo, DiagnosticNamesExactTokenOffset) {
+  std::string bad = serialized();
+  const std::size_t at = bad.find("\nedge ") + 1;
+  bad.replace(at, 4, "edgy");
+  const std::string msg = load_error(std::istringstream(bad));
+  EXPECT_NE(msg.find("expected 'edge' record"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("near byte " + std::to_string(at) + ")"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(ModelIoCorruption, TruncationAlwaysThrowsDiagnostic) {
