@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "generator/trajectory_order.h"
 #include "model/compiled.h"
 
 namespace cpg::gen {
@@ -79,33 +80,22 @@ Trace generate_trace(const model::ModelSet& models,
     ue_options.compiled = &*local_plan;
   }
 
-  // Generate in trajectory-grouped order: UEs drawing the same modeled
-  // trajectory resolve the same law rows and sampling tables every hour, so
-  // visiting them consecutively keeps those tables cache-hot. The final
-  // sort restores canonical time order, making generation order (and hence
-  // this grouping, the chunking, and the thread count) output-invariant.
-  // The trajectory draw is replayed from each UE's private stream inside
-  // the worker, so the ordering pass costs one extra draw per UE.
-  std::vector<std::uint32_t> order(total_ues);
-  {
-    std::vector<std::uint32_t> modeled(total_ues, 0);
-    for (std::size_t u = 0; u < total_ues; ++u) {
-      order[u] = static_cast<std::uint32_t>(u);
-      const model::DeviceModel& dev = models.device(device_of[u]);
-      if (!dev.has_ues()) continue;
-      Rng rng(request.seed, static_cast<std::uint64_t>(u));
-      modeled[u] =
-          static_cast<std::uint32_t>(rng.uniform_index(dev.ue_traj.size()));
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (device_of[a] != device_of[b]) {
-                  return index_of(device_of[a]) < index_of(device_of[b]);
-                }
-                if (modeled[a] != modeled[b]) return modeled[a] < modeled[b];
-                return a < b;
-              });
+  // Generate in trajectory-grouped order (generator/trajectory_order.h).
+  // The final sort restores canonical time order, making generation order
+  // (and hence this grouping, the chunking, and the thread count)
+  // output-invariant. Workers replay the trajectory draw from each UE's
+  // private stream, so the ordering pass costs one extra draw per UE. UEs
+  // of a device the model fitted no UEs for emit nothing and get no key.
+  std::vector<TrajectoryKey> order;
+  order.reserve(total_ues);
+  for (std::size_t u = 0; u < total_ues; ++u) {
+    const DeviceType d = device_of[u];
+    const model::DeviceModel& dev = models.device(d);
+    if (!dev.has_ues()) continue;
+    Rng rng(request.seed, static_cast<std::uint64_t>(u));
+    order.push_back({draw_modeled_ue(dev, rng), static_cast<UeId>(u), 0, d});
   }
+  sort_trajectory_order(order);
 
   std::vector<std::vector<ControlEvent>> results(workers);
   std::atomic<std::size_t> next{0};
@@ -115,18 +105,14 @@ Trace generate_trace(const model::ModelSet& models,
     auto& out = results[worker_idx];
     while (true) {
       const std::size_t begin = next.fetch_add(k_chunk);
-      if (begin >= total_ues) break;
-      const std::size_t end = std::min(begin + k_chunk, total_ues);
+      if (begin >= order.size()) break;
+      const std::size_t end = std::min(begin + k_chunk, order.size());
       for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t u = order[i];
-        const DeviceType d = device_of[u];
-        const model::DeviceModel& dev = models.device(d);
-        if (!dev.has_ues()) continue;
-        Rng rng(request.seed, static_cast<std::uint64_t>(u));
-        const auto modeled_ue = static_cast<std::uint32_t>(
-            rng.uniform_index(dev.ue_traj.size()));
-        generate_ue(models, d, modeled_ue, t_begin, t_end,
-                    static_cast<UeId>(u), rng, ue_options, out);
+        const TrajectoryKey& key = order[i];
+        Rng rng(request.seed, static_cast<std::uint64_t>(key.ue));
+        draw_modeled_ue(models.device(key.device), rng);  // replay
+        generate_ue(models, key.device, key.modeled_ue, t_begin, t_end,
+                    key.ue, rng, ue_options, out);
       }
     }
   };
@@ -139,6 +125,7 @@ Trace generate_trace(const model::ModelSet& models,
     for (unsigned w = 0; w < workers; ++w) threads.emplace_back(work, w);
     for (auto& t : threads) t.join();
   }
+  std::vector<TrajectoryKey>().swap(order);
 
   std::size_t total_events = 0;
   for (const auto& r : results) total_events += r.size();

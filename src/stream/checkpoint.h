@@ -49,8 +49,11 @@ struct CheckpointOptions {
 struct ShardCheckpoint {
   std::vector<gen::UeGenSnapshot> gens;  // live (not done) generators only
   // Plan segment index each live generator was activated from, parallel to
-  // `gens` (stream/population.h; 0 for every generator of a stationary
-  // run's trivial plan).
+  // `gens` (stream/population.h; a stationary run's trivial plan has one
+  // segment per UE, so there it equals the UE id). `gens` lists generators
+  // activation slice by activation slice, each slice's in
+  // (device, modeled_ue, ue_id, segment) order
+  // (generator/trajectory_order.h).
   std::vector<std::uint64_t> gen_seg;
   // Shard-local activation cursor: how many of this shard's plan segments
   // (in plan order) have already been activated. A resumed worker re-enters

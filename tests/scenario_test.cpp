@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -543,6 +545,128 @@ TEST_F(ScenarioCheckpointDir, ResumeUnderAnEditedSpecIsRejected) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("scenario"), std::string::npos)
         << e.what();
+  }
+}
+
+// A migration wave inside a slice: at +45 min (slice 6 of 7-minute slices)
+// every car's LTE segment closes and its NSA segment opens, and every tablet
+// opens both its join segment and its SA segment in that same slice.
+constexpr const char* k_handoff_spec = R"(scenario handoff
+start-hour 9
+duration 2
+
+cohort phones
+  device phone
+  count 60
+cohort cars
+  device car
+  count 30
+  migrate 0.75 nsa
+cohort tabs
+  device tablet
+  count 24
+  join 0.7 0.74
+  migrate 0.75 sa
+)";
+
+TEST_F(ScenarioCheckpointDir,
+       MidSliceMigrationCheckpointsResumeInTrajectoryOrder) {
+  const CompiledScenario sc =
+      compile(parse_scenario_string(k_handoff_spec), lte_model());
+  const stream::PopulationPlan& plan = sc.plan;
+  constexpr TimeMs k_slice = 7 * k_ms_per_minute;
+  const auto slice_of = [&](TimeMs t) {
+    return static_cast<std::uint64_t>((t - plan.t_begin) / k_slice);
+  };
+  const TimeMs wave = plan.t_begin + 45 * k_ms_per_minute;
+  ASSERT_EQ(slice_of(wave), 6u);
+  ASSERT_NE((wave - plan.t_begin) % k_slice, 0);
+  std::map<UeId, std::vector<std::uint64_t>> opening_slices;
+  for (const stream::UeSegment& seg : plan.segments) {
+    opening_slices[seg.ue].push_back(slice_of(seg.t_start));
+  }
+  // Tablets (ids 90..113) open two segments in the wave slice.
+  EXPECT_EQ(opening_slices.at(100), (std::vector<std::uint64_t>{6, 6}));
+
+  stream::StreamOptions opts;
+  opts.num_shards = 3;
+  opts.num_threads = 2;
+  opts.slice_ms = k_slice;
+  opts.checkpoint.interval_slices = 1;
+
+  // Reference run, handing every checkpoint to a callback instead of disk.
+  std::vector<ControlEvent> want;
+  StoreSink ref_sink(want);
+  std::vector<stream::StreamCheckpoint> cks;
+  stream::StreamOptions capture = opts;
+  capture.checkpoint_sink = [&](const stream::StreamCheckpoint& ck) {
+    cks.push_back(ck);
+  };
+  const stream::StreamStats ref =
+      stream::stream_generate(plan, capture, ref_sink);
+  ASSERT_GT(want.size(), 100u);
+  ASSERT_EQ(cks.size(), ref.slices - 1);  // one per slice but the first
+  EXPECT_EQ(want, run_plan(plan, 3, 2, k_slice));
+
+  // A shard snapshot lists its live generators activation burst by burst,
+  // and each burst in (device, modeled_ue, ue_id, segment) order.
+  // UEs silent for the rest of the window finish early and leave the
+  // snapshot, so only some of the 54 handed-off generators are still live.
+  std::set<DeviceType> migrated_after_wave;
+  for (const stream::StreamCheckpoint& ck : cks) {
+    for (const stream::ShardCheckpoint& sh : ck.shards) {
+      ASSERT_EQ(sh.gen_seg.size(), sh.gens.size());
+      for (std::size_t j = 0; j < sh.gens.size(); ++j) {
+        const stream::UeSegment& seg = plan.segments[sh.gen_seg[j]];
+        ASSERT_EQ(seg.ue, sh.gens[j].ue_id);
+        if (ck.resume_slice == 7 && seg.counts_migration) {
+          migrated_after_wave.insert(sh.gens[j].device);
+        }
+        if (j == 0) continue;
+        const gen::UeGenSnapshot& a = sh.gens[j - 1];
+        const gen::UeGenSnapshot& b = sh.gens[j];
+        const std::uint64_t burst_a =
+            slice_of(plan.segments[sh.gen_seg[j - 1]].t_start);
+        const std::uint64_t burst_b = slice_of(seg.t_start);
+        if (burst_a != burst_b) {
+          EXPECT_LT(burst_a, burst_b) << "slice " << ck.resume_slice;
+          continue;
+        }
+        EXPECT_LT(std::tuple(index_of(a.device), a.modeled_ue, a.ue_id,
+                             sh.gen_seg[j - 1]),
+                  std::tuple(index_of(b.device), b.modeled_ue, b.ue_id,
+                             sh.gen_seg[j]))
+            << "slice " << ck.resume_slice << " position " << j;
+      }
+    }
+  }
+  EXPECT_EQ(migrated_after_wave,
+            (std::set<DeviceType>{DeviceType::connected_car,
+                                  DeviceType::tablet}));
+
+  // Kill around the wave and resume: byte-identical to the reference.
+  for (const std::uint64_t kill_slice : {5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE("kill at slice " + std::to_string(kill_slice));
+    std::filesystem::remove_all(dir_);
+    stream::StreamOptions ck_opts = opts;
+    ck_opts.checkpoint.dir = dir_.string();
+    std::vector<ControlEvent> store;
+    StoreSink sink(store);
+    fault::FailpointSpec kill;
+    kill.action = fault::Action::fatal;
+    kill.skip = kill_slice;
+    kill.max_fires = 1;
+    fault::arm("stream.deliver_slice", kill);
+    EXPECT_THROW(stream::stream_generate(plan, ck_opts, sink),
+                 fault::InjectedFault);
+    fault::disarm_all();
+    ASSERT_LT(store.size(), want.size());
+
+    ck_opts.resume = true;
+    const stream::StreamStats stats =
+        stream::stream_generate(plan, ck_opts, sink);
+    EXPECT_EQ(stats.start_slice, kill_slice);
+    EXPECT_EQ(store, want);
   }
 }
 

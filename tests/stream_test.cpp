@@ -8,9 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "generator/traffic_generator.h"
 #include "io/csv.h"
@@ -86,6 +89,40 @@ TEST(Stream, ByteIdenticalToBatchAcrossShardsSlicesThreads) {
         expect_identical(cap.trace(), batch);
         EXPECT_EQ(stats.events, batch.num_events());
         EXPECT_EQ(stats.num_ues, batch.num_ues());
+      }
+    }
+  }
+}
+
+// The million-UE shape in miniature: a large population over a short
+// window, so almost every generator activates in slice 0 and emits only a
+// few events. Activation orders the whole population at once, so this is
+// where an activation-order bug would surface.
+TEST(Stream, ManyUeShortWindowByteIdenticalToBatch) {
+  gen::GenerationRequest req;
+  req.ue_counts = {2500, 1000, 500};
+  req.start_hour = 9;
+  req.duration_hours = 0.25;
+  req.seed = 4242;
+  req.num_threads = 2;
+  const Trace batch = gen::generate_trace(ours_model(), req);
+  ASSERT_GT(batch.num_events(), 1000u);
+
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    for (const unsigned threads : {1u, 2u}) {
+      for (const TimeMs slice_ms : {4 * k_ms_per_minute, 7 * k_ms_per_minute}) {
+        StreamOptions opts;
+        opts.num_shards = shards;
+        opts.num_threads = threads;
+        opts.slice_ms = slice_ms;
+        CaptureSink cap;
+        const StreamStats stats = stream_generate(ours_model(), req, opts, cap);
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads) +
+                     " slice_ms=" + std::to_string(slice_ms));
+        EXPECT_GE(stats.slices, 2u);
+        expect_identical(cap.trace(), batch);
       }
     }
   }
@@ -335,6 +372,36 @@ TEST(Stream, MetricsAccountForEveryDeliveredEvent) {
   // The streamed output also stays byte-identical with metrics enabled
   // (instrumentation must not perturb the delivered sequence).
   EXPECT_EQ(stats.events, batch_trace().num_events());
+}
+
+TEST(Stream, StageTimersCoverEveryShardAndStage) {
+  obs::Registry registry;
+  StreamOptions opts;
+  opts.num_shards = 3;
+  opts.num_threads = 2;
+  opts.slice_ms = 7 * k_ms_per_minute;
+  opts.metrics = &registry;
+  CountingSink sink;
+  ASSERT_GT(stream_generate(ours_model(), small_request(), opts, sink).events,
+            0u);
+
+  std::map<std::pair<std::string, std::string>, std::uint64_t> ns;
+  for (const obs::FamilySnapshot& fam : registry.snapshot()) {
+    if (fam.name != "cpg_stream_stage_ns_total") continue;
+    for (const obs::SeriesSnapshot& s : fam.series) {
+      std::string stage, shard;
+      for (const auto& [key, value] : s.labels) {
+        (key == "stage" ? stage : shard) = value;
+      }
+      ns[{stage, shard}] = s.counter;
+    }
+  }
+  EXPECT_EQ(ns.size(), 9u);
+  for (const char* stage : {"activate", "advance", "sort"}) {
+    for (const char* shard : {"0", "1", "2"}) {
+      EXPECT_GT((ns[{stage, shard}]), 0u) << stage << " shard " << shard;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
